@@ -1,21 +1,19 @@
-//! Concurrent-ingestion experiment: serial vs. sharded streaming pipelines,
-//! full retrain vs. incremental embedding updates, and the latency of
-//! embedding queries served concurrently with an active stream.
+//! Concurrent-ingestion experiment: 1 vs. N ingest threads, full retrain vs.
+//! incremental embedding updates, and the latency of embedding queries
+//! served concurrently with an active stream.
 //!
 //! 1. **Pipeline throughput** — replay the same mixed update stream through
-//!    [`Engine::stream`] with 1 ingest thread (the serial path: batch loop,
-//!    serial maintenance, serial refresh) and with N ingest threads
-//!    (bounded-queue intake, vertex-range sharded application, parallel
-//!    sampler maintenance and walk refresh). Reports sustained updates/s and
-//!    the per-phase latency split. On a multi-core host the sharded pipeline
-//!    should clear ≥2x the serial throughput; on a single hardware thread the
-//!    two collapse to the same schedule.
+//!    [`Engine::stream`] with 1 ingest thread (serial maintenance, serial
+//!    refresh) and with N ingest threads (parallel sampler-bucket rebuilds
+//!    and walk refresh). Update application is serial in both. Reports
+//!    sustained updates/s and the per-phase latency split. On a single
+//!    hardware thread the two collapse to the same schedule.
 //! 2. **Incremental vs. full retrain** — same stream, embeddings either
 //!    retrained from scratch on the refreshed corpus or updated online on
 //!    regenerated walks only. Compares link-prediction AUC on the final
 //!    graph (expected: within noise) and the training-phase time; no query
 //!    load runs here, keeping these columns comparable across PRs.
-//! 3. **Concurrent query service** — a dedicated sharded incremental session
+//! 3. **Concurrent query service** — a dedicated multi-threaded incremental session
 //!    with reader threads hammering `top_k` against the engine's embedding
 //!    store; per-query latency (including snapshot/lock acquisition) is the
 //!    "serving while training" measurement.
@@ -258,16 +256,16 @@ fn main() {
         threads,
     );
 
-    // Part 1: serial vs. sharded pipeline on the same stream, per sampler.
+    // Part 1: 1 vs. N ingest threads on the same stream, per sampler.
     // The M-H rows show that UniNet's sampler leaves (almost) nothing to
     // parallelize — reweights are O(1) with zero rebuild work — while the
     // alias rows carry the O(deg)-per-state rebuilds whose fan-out is where
-    // the sharded pipeline earns its throughput on multi-core hosts.
+    // extra threads earn their throughput on multi-core hosts.
     let mut table = Table::new(
-        "Concurrent ingestion — serial vs. sharded streaming pipeline (DeepWalk)",
+        "Concurrent ingestion — 1 vs. N ingest threads (DeepWalk)",
         &[
             "sampler",
-            "pipeline",
+            "ingest threads",
             "updates/s (apply+maintain)",
             "updates/s (incl. refresh)",
             "apply ms",
@@ -287,7 +285,8 @@ fn main() {
         ("Alias", EdgeSamplerKind::Alias),
     ] {
         let mut throughputs = Vec::new();
-        for (label, ingest_threads) in [("serial", 1usize), ("sharded", threads)] {
+        for ingest_threads in [1, threads] {
+            let label = format!("{ingest_threads} thread(s)");
             let streaming = StreamingConfig {
                 batch_size: 1024,
                 compaction_threshold: 2048,
@@ -316,7 +315,7 @@ fn main() {
             let pipeline_throughput = applied / stream_secs;
             table.add_row(&[
                 sampler_name.to_string(),
-                label.to_string(),
+                label.clone(),
                 format!("{:.0}", report.update_throughput),
                 format!("{pipeline_throughput:.0}"),
                 format!("{:.2}", report.apply_time.as_secs_f64() * 1e3),
@@ -326,7 +325,7 @@ fn main() {
                 format!("{:.2}", report.queue.producer_wait.as_secs_f64() * 1e3),
             ]);
             throughputs.push(pipeline_throughput);
-            let mut json = report_json(sampler_name, label, &report, wall);
+            let mut json = report_json(sampler_name, &label, &report, wall);
             if let Json::Obj(fields) = &mut json {
                 fields.push(("pipeline_updates_per_sec", Json::Num(pipeline_throughput)));
             }
@@ -337,7 +336,7 @@ fn main() {
         } else {
             0.0
         };
-        println!("{sampler_name}: sharded/serial streaming throughput {speedup:.2}x");
+        println!("{sampler_name}: {threads}-thread/1-thread streaming throughput {speedup:.2}x");
         speedups.push((sampler_name, speedup));
     }
     emit(&table, "exp_ingest_pipeline");
@@ -435,7 +434,8 @@ fn main() {
 
     // Part 3: the concurrent query service — reader threads hammer `top_k`
     // against the engine's embedding store (timer includes snapshot/lock
-    // acquisition) for the whole duration of a sharded incremental session.
+    // acquisition) for the whole duration of a multi-threaded incremental
+    // session.
     // The store is primed by a batch train so queries are answered from
     // epoch 1; each refresh round then publishes a fresh snapshot.
     let num_readers = 2usize;
@@ -649,14 +649,14 @@ fn main() {
     println!();
 
     // Part 5: durability — the WAL-append tax on streaming throughput, and
-    // how long a cold restart takes. Three identical sharded incremental
-    // sessions: no WAL (baseline), WAL without fsync (pure encode+write
+    // how long a cold restart takes. Three identical multi-threaded
+    // incremental sessions: no WAL (baseline), WAL without fsync (pure encode+write
     // cost), WAL with fsync-per-append (the full durable configuration);
     // then a timed `Engine::builder().recover(..)` from the durable dir.
     let dur_root = std::env::temp_dir().join(format!("uninet-bench-dur-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dur_root);
     let mut table = Table::new(
-        "Durability — WAL-append overhead and crash recovery (sharded incremental)",
+        "Durability — WAL-append overhead and crash recovery (incremental)",
         &[
             "configuration",
             "stream wall s",
@@ -1060,7 +1060,7 @@ fn main() {
             });
         }
     }
-    let engine = engine_for(
+    let churn_engine = engine_for(
         &graph,
         pipeline_config(&cfg, threads, EdgeSamplerKind::Alias),
         StreamingConfig {
@@ -1074,15 +1074,15 @@ fn main() {
             ..Default::default()
         },
     );
-    engine.train().expect("engine is idle");
+    churn_engine.train().expect("engine is idle");
     let t = Instant::now();
     let churn_len = churn.len();
-    let outcome = engine.stream_blocking(churn).expect("engine is idle");
+    let outcome = churn_engine.stream_blocking(churn).expect("engine is idle");
     let churn_wall_s = t.elapsed().as_secs_f64();
     let churn_report = outcome.report;
     assert_eq!(churn_report.arrivals, arrivals_n, "every arrival applied");
     assert_eq!(churn_report.retirements, retire_n, "every retirement applied");
-    let snapshot = engine.snapshot();
+    let snapshot = churn_engine.snapshot();
     assert_eq!(
         snapshot.live_count(),
         graph.num_nodes() - retire_n + arrivals_n,
@@ -1137,7 +1137,7 @@ fn main() {
     }
     let cold_recall = recall_at_10(&arrival_neighbors);
     let established_recall = recall_at_10(&established);
-    let churn_metrics = engine.metrics();
+    let churn_metrics = churn_engine.metrics();
     let burn_in = churn_metrics.histogram("engine.train.cold_start_burn_in_ns");
     let burn_in_p50_ms = burn_in.map_or(0.0, |h| h.quantile(0.5) as f64 / 1e6);
     let burn_in_p95_ms = burn_in.map_or(0.0, |h| h.quantile(0.95) as f64 / 1e6);
@@ -1233,7 +1233,7 @@ fn main() {
             ),
             ("pipelines", Json::Arr(json_pipelines)),
             (
-                "sharded_speedup",
+                "threads_speedup",
                 Json::Obj(
                     speedups
                         .iter()

@@ -5,10 +5,10 @@
 //! This is the dynamic-workload counterpart of [`crate::Engine::train`]: the
 //! graph lives in a [`DynamicGraph`] and the update stream flows through the
 //! `uninet-ingest` pipeline — a reader thread feeding a bounded queue
-//! (back-pressure), vertex-range sharded overlay application and sampler
-//! maintenance, then per-batch walk refresh fanned out over the walk engine's
-//! thread pool. Embeddings are either retrained from scratch on the refreshed
-//! corpus (the original behaviour) or, with
+//! (back-pressure), serial overlay application and sampler maintenance
+//! (parallel bucket rebuilds), then per-batch walk refresh fanned out over
+//! the walk engine's thread pool. Embeddings are either retrained from
+//! scratch on the refreshed corpus (the original behaviour) or, with
 //! [`StreamingConfig::incremental_train`], updated online by SGD passes over
 //! only the regenerated walks.
 //!
@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 use uninet_dyngraph::{DynamicGraph, GraphMutation, RefreshStats, UpdateBatch, WalkRefresher};
 use uninet_embedding::{EmbeddingStore, OnlineWord2Vec, TrainStats, Word2VecTrainer};
 use uninet_graph::{Graph, NodeId};
-use uninet_ingest::{run_durable_pipeline, IngestConfig, IngestMetrics, QueueStats};
+use uninet_ingest::{run_pipeline, IngestConfig, IngestMetrics, QueueStats};
 use uninet_walker::{MaintenanceStats, SamplerManager, WalkEngine};
 
 use crate::config::{ModelSpec, UniNetConfig};
@@ -43,8 +43,8 @@ pub struct StreamingConfig {
     pub symmetric: bool,
     /// Regenerate affected walks after every batch (off = only at the end).
     pub refresh_each_batch: bool,
-    /// Worker threads for sharded update application, sampler maintenance and
-    /// walk refresh. 0 means "use the walk engine's thread count".
+    /// Worker threads for sampler-bucket rebuilds and walk refresh (update
+    /// application is serial). 0 means "use the walk engine's thread count".
     pub ingest_threads: usize,
     /// Batches the intake queue buffers before back-pressure blocks intake.
     pub queue_capacity: usize,
@@ -201,7 +201,7 @@ fn merge_train_stats(total: &mut TrainStats, pass: &TrainStats) {
 }
 
 /// Runs the full dynamic pipeline: initial walk corpus over `graph`,
-/// concurrent ingestion of `mutations` (bounded intake queue, sharded
+/// concurrent ingestion of `mutations` (bounded intake queue, serial
 /// application, parallel maintenance and walk refresh), final compaction,
 /// then embedding training — full retrain on the refreshed corpus, or
 /// incremental updates when `streaming.incremental_train` is set.
@@ -346,7 +346,7 @@ pub(crate) fn run_streaming_session(
         } else {
             None
         };
-        let ingest_report = run_durable_pipeline(
+        let ingest_report = run_pipeline(
             &ingest_cfg,
             ingest_metrics,
             &mut dyn_graph,

@@ -23,7 +23,7 @@ use uninet_core::{
     QueryMode,
 };
 use uninet_graph::{Graph, GraphBuilder, NodeId};
-use uninet_ingest::{run_pipeline, IngestConfig};
+use uninet_ingest::{run_pipeline, IngestConfig, IngestMetrics};
 use uninet_walker::models::DeepWalk;
 use uninet_walker::{RandomWalkModel, SamplerManager};
 
@@ -200,8 +200,8 @@ proptest! {
             reference.apply(m);
         }
 
-        // Streaming: the concurrent pipeline (sharded edge batches, serial
-        // node-op batches, incremental sampler maintenance).
+        // Streaming: the concurrent pipeline (queued batches, serial apply,
+        // incremental sampler maintenance).
         let mut dg = DynamicGraph::new(g, true);
         let mut manager = SamplerManager::new(dg.base(), &model, EdgeSamplerKind::Alias, 0);
         run_pipeline(
@@ -211,10 +211,12 @@ proptest! {
                 num_threads: 3,
                 compaction_threshold: 8,
             },
+            &IngestMetrics::detached(),
             &mut dg,
             &mut manager,
             &model,
             &mutations,
+            None,
             |_, _, _, _| {},
         );
 

@@ -75,7 +75,7 @@ fn metrics_cover_all_three_planes_after_train_stream_query() {
     );
     assert_eq!(snap.counter("query.ann_fallbacks"), Some(1));
 
-    // Ingest plane: a streaming session drives the queue, sharded apply,
+    // Ingest plane: a streaming session drives the queue, overlay apply,
     // sampler maintenance and walk refresh instruments.
     engine
         .stream_blocking(mutations(256))
@@ -105,6 +105,53 @@ fn metrics_cover_all_three_planes_after_train_stream_query() {
     for section in ["\"ingest\"", "\"engine\"", "\"query\""] {
         assert!(json.contains(section), "missing {section} in {json}");
     }
+}
+
+#[test]
+fn every_compaction_is_timed_including_churn_forced_ones() {
+    let graph = rmat(&RmatConfig {
+        num_nodes: 300,
+        num_edges: 1_500,
+        weighted: true,
+        seed: 9,
+        ..Default::default()
+    });
+    let engine = Engine::builder()
+        .graph(graph)
+        .model(ModelSpec::DeepWalk)
+        .num_walks(2)
+        .walk_length(10)
+        .dim(16)
+        .threads(2)
+        .streaming(StreamingConfig {
+            batch_size: 64,
+            allow_churn: true,
+            ..Default::default()
+        })
+        .build()
+        .expect("valid configuration");
+    engine.train().expect("engine is idle");
+
+    // Weight batches, then a churn batch: the arrival forces a compaction
+    // regardless of the threshold, and the end-of-stream flush may add one.
+    let mut stream = mutations(128);
+    stream.push(GraphMutation::AddNode { node: 300 });
+    stream.push(GraphMutation::AddEdge {
+        src: 300,
+        dst: 0,
+        weight: 1.0,
+    });
+    let outcome = engine.stream_blocking(stream).expect("engine is idle");
+    let snap = engine.metrics();
+    let count = snap.counter("ingest.compaction.count").unwrap_or(0);
+    assert!(count > 0, "the churn batch must compact");
+    assert_eq!(count, outcome.report.compactions as u64);
+    assert_eq!(
+        snap.histogram("ingest.compaction.duration_ns")
+            .map(|h| h.count()),
+        Some(count),
+        "every counted compaction must also be timed"
+    );
 }
 
 #[test]

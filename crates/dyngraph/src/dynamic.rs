@@ -21,12 +21,6 @@
 //!   a different identity — a retired id may only *rejoin* as the same node
 //!   (via a fresh `AddNode`), so published embedding snapshots can keep
 //!   serving their frozen universe without ids changing meaning under them.
-//! * **Vertex-range sharding.** The overlay is stored as one delta log per
-//!   vertex, so [`DynamicGraph::shard_views`] can hand out disjoint mutable
-//!   [`ShardView`]s over contiguous vertex ranges; shards apply mutations
-//!   whose endpoints both fall inside their range fully in parallel, and the
-//!   per-row state machine is shared with the serial path, so the merged
-//!   result is identical to sequential application (see `crates/ingest`).
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -67,138 +61,6 @@ impl VertexDelta {
     }
 }
 
-/// What one directed row application did, in a form that both the serial
-/// [`DynamicGraph::apply_directed`] path and the parallel [`ShardView`] path
-/// fold into their own bookkeeping. Sharing this state machine is what makes
-/// sharded application sequentially equivalent by construction.
-struct RowOutcome {
-    effect: MutationEffect,
-    /// Deferred base-CSR weight write `(src, slot, weight)`. The base graph is
-    /// only borrowed immutably during row application, so writes are applied
-    /// by the caller (immediately on the serial path, at commit time on the
-    /// sharded path). Weight *values* never influence control flow, so
-    /// deferring them preserves the outcome of every later mutation.
-    weight_write: Option<(NodeId, usize, f32)>,
-    /// Change in pending overlay insert count (-1, 0 or +1).
-    d_inserts: i8,
-    /// Change in pending overlay delete count (-1, 0 or +1).
-    d_deletes: i8,
-    /// Whether the row's adjacency changed (node joins the touched set).
-    touched: bool,
-}
-
-impl RowOutcome {
-    fn rejected() -> Self {
-        RowOutcome {
-            effect: MutationEffect::Rejected,
-            weight_write: None,
-            d_inserts: 0,
-            d_deletes: 0,
-            touched: false,
-        }
-    }
-
-    fn reweighted(write: Option<(NodeId, usize, f32)>) -> Self {
-        RowOutcome {
-            effect: MutationEffect::Reweighted,
-            weight_write: write,
-            d_inserts: 0,
-            d_deletes: 0,
-            touched: false,
-        }
-    }
-}
-
-/// Applies one directed mutation to a single vertex row: the overlay delta of
-/// `src` plus (deferred) writes into the base CSR row of `src`. This is the
-/// single source of truth for mutation semantics; see [`RowOutcome`].
-///
-/// Rows past the base CSR (arrived nodes not yet compacted) have an empty
-/// base adjacency, so base lookups are guarded by range.
-fn apply_directed_row(base: &Graph, delta: &mut VertexDelta, m: GraphMutation) -> RowOutcome {
-    let base_find = |src: NodeId, dst: NodeId| {
-        if (src as usize) < base.num_nodes() {
-            base.find_neighbor(src, dst)
-        } else {
-            None
-        }
-    };
-    match m {
-        GraphMutation::UpdateWeight { src, dst, weight } => {
-            // Overlay insert first: it shadows the base edge.
-            if let Some(w) = delta.inserts.get_mut(&dst) {
-                *w = weight;
-                return RowOutcome::reweighted(None);
-            }
-            if delta.deletes.contains(&dst) {
-                return RowOutcome::rejected();
-            }
-            match base_find(src, dst) {
-                Some(k) => RowOutcome::reweighted(Some((src, k, weight))),
-                None => RowOutcome::rejected(),
-            }
-        }
-        GraphMutation::AddEdge { src, dst, weight } => {
-            let exists = delta.inserts.contains_key(&dst)
-                || (!delta.deletes.contains(&dst) && base_find(src, dst).is_some());
-            if exists {
-                // Upsert semantics: adding an existing edge reweights it.
-                return apply_directed_row(
-                    base,
-                    delta,
-                    GraphMutation::UpdateWeight { src, dst, weight },
-                );
-            }
-            if delta.deletes.remove(&dst) {
-                // Un-delete: the base edge resurfaces with the new weight.
-                let write = base_find(src, dst).map(|k| (src, k, weight));
-                RowOutcome {
-                    effect: MutationEffect::TopologyChanged,
-                    weight_write: write,
-                    d_inserts: 0,
-                    d_deletes: -1,
-                    touched: true,
-                }
-            } else {
-                delta.inserts.insert(dst, weight);
-                RowOutcome {
-                    effect: MutationEffect::TopologyChanged,
-                    weight_write: None,
-                    d_inserts: 1,
-                    d_deletes: 0,
-                    touched: true,
-                }
-            }
-        }
-        GraphMutation::RemoveEdge { src, dst } => {
-            if delta.inserts.remove(&dst).is_some() {
-                return RowOutcome {
-                    effect: MutationEffect::TopologyChanged,
-                    weight_write: None,
-                    d_inserts: -1,
-                    d_deletes: 0,
-                    touched: true,
-                };
-            }
-            if !delta.deletes.contains(&dst) && base_find(src, dst).is_some() {
-                delta.deletes.insert(dst);
-                RowOutcome {
-                    effect: MutationEffect::TopologyChanged,
-                    weight_write: None,
-                    d_inserts: 0,
-                    d_deletes: 1,
-                    touched: true,
-                }
-            } else {
-                RowOutcome::rejected()
-            }
-        }
-        GraphMutation::AddNode { .. } | GraphMutation::RemoveNode { .. } => {
-            unreachable!("node ops are handled before row application")
-        }
-    }
-}
-
 /// Mirrors a mutation onto the reverse edge.
 fn mirror_of(m: GraphMutation) -> GraphMutation {
     match m {
@@ -235,8 +97,7 @@ pub struct OverlayStats {
 pub struct DynamicGraph {
     base: Graph,
     /// One delta log per vertex (indexed by node id). Empty deltas allocate
-    /// nothing, and the flat layout is what lets [`DynamicGraph::shard_views`]
-    /// split the overlay into disjoint mutable vertex ranges.
+    /// nothing.
     overlay: Vec<VertexDelta>,
     /// Mirror every mutation (`(u,v)` also applies to `(v,u)`), matching
     /// graphs built with `GraphBuilder::symmetric(true)`.
@@ -555,22 +416,71 @@ impl DynamicGraph {
         MutationEffect::NodeRetired
     }
 
+    /// Applies one directed edge mutation to the row of `src`: topology
+    /// changes go to the overlay, weight changes are written into the base
+    /// CSR in place. This is the single source of truth for edge-mutation
+    /// semantics.
+    ///
+    /// Rows past the base CSR (arrived nodes not yet compacted) have an empty
+    /// base adjacency, so the base lookup is guarded by range.
     fn apply_directed(&mut self, m: GraphMutation) -> MutationEffect {
-        let (src, _) = m.endpoints();
-        let out = apply_directed_row(&self.base, &mut self.overlay[src as usize], m);
-        if let Some((v, k, w)) = out.weight_write {
-            self.base.set_weight_at(v, k, w);
+        let (src, dst) = m.endpoints();
+        let base_slot = if (src as usize) < self.base.num_nodes() {
+            self.base.find_neighbor(src, dst)
+        } else {
+            None
+        };
+        let delta = &mut self.overlay[src as usize];
+        match m {
+            GraphMutation::UpdateWeight { weight, .. } => {
+                // Overlay insert first: it shadows the base edge.
+                if let Some(w) = delta.inserts.get_mut(&dst) {
+                    *w = weight;
+                    return MutationEffect::Reweighted;
+                }
+                match base_slot {
+                    Some(k) if !delta.deletes.contains(&dst) => {
+                        self.base.set_weight_at(src, k, weight);
+                        MutationEffect::Reweighted
+                    }
+                    _ => MutationEffect::Rejected,
+                }
+            }
+            GraphMutation::AddEdge { weight, .. } => {
+                let exists = delta.inserts.contains_key(&dst)
+                    || (!delta.deletes.contains(&dst) && base_slot.is_some());
+                if exists {
+                    // Upsert semantics: adding an existing edge reweights it.
+                    return self.apply_directed(GraphMutation::UpdateWeight { src, dst, weight });
+                }
+                if delta.deletes.remove(&dst) {
+                    // Un-delete: the base edge resurfaces with the new weight.
+                    if let Some(k) = base_slot {
+                        self.base.set_weight_at(src, k, weight);
+                    }
+                    self.pending_deletes -= 1;
+                } else {
+                    delta.inserts.insert(dst, weight);
+                    self.pending_inserts += 1;
+                }
+                self.touched_since_compaction.insert(src);
+                MutationEffect::TopologyChanged
+            }
+            GraphMutation::RemoveEdge { .. } => {
+                if delta.inserts.remove(&dst).is_some() {
+                    self.pending_inserts -= 1;
+                } else if base_slot.is_some() && delta.deletes.insert(dst) {
+                    self.pending_deletes += 1;
+                } else {
+                    return MutationEffect::Rejected;
+                }
+                self.touched_since_compaction.insert(src);
+                MutationEffect::TopologyChanged
+            }
+            GraphMutation::AddNode { .. } | GraphMutation::RemoveNode { .. } => {
+                unreachable!("node ops are handled before row application")
+            }
         }
-        if out.touched {
-            self.touched_since_compaction.insert(src);
-        }
-        self.pending_inserts = self
-            .pending_inserts
-            .wrapping_add_signed(out.d_inserts as isize);
-        self.pending_deletes = self
-            .pending_deletes
-            .wrapping_add_signed(out.d_deletes as isize);
-        out.effect
     }
 
     /// Rebuilds the base CSR from the merged view, clearing the overlay.
@@ -690,161 +600,6 @@ impl DynamicGraph {
     pub fn into_base(mut self) -> Graph {
         self.compact();
         self.base
-    }
-
-    /// Splits the overlay into disjoint mutable [`ShardView`]s over the
-    /// contiguous vertex ranges `bounds[i]..bounds[i+1]`.
-    ///
-    /// `bounds` must start at 0, end at `num_nodes`, and be non-decreasing.
-    /// Each view can apply mutations whose endpoints both lie inside its
-    /// range, from its own thread; base-CSR weight writes are deferred into
-    /// the view's [`ShardOutcome`], which [`DynamicGraph::commit_shards`]
-    /// folds back in. Mutations on the same edge must stay in one view (and
-    /// in order) for sequential equivalence — mutations on different edges
-    /// commute. `crates/ingest` owns that partitioning policy.
-    pub fn shard_views(&mut self, bounds: &[usize]) -> Vec<ShardView<'_>> {
-        let n = self.num_nodes();
-        assert!(
-            bounds.len() >= 2 && bounds[0] == 0 && *bounds.last().expect("non-empty") == n,
-            "shard bounds must cover 0..{n}"
-        );
-        let symmetric = self.symmetric;
-        let base = &self.base;
-        let live = &self.live;
-        let mut views = Vec::with_capacity(bounds.len() - 1);
-        let mut rest: &mut [VertexDelta] = &mut self.overlay;
-        for w in bounds.windows(2) {
-            assert!(w[0] <= w[1], "shard bounds must be non-decreasing");
-            let (head, tail) = rest.split_at_mut(w[1] - w[0]);
-            rest = tail;
-            views.push(ShardView {
-                base,
-                overlay: head,
-                start: w[0],
-                num_nodes: n,
-                symmetric,
-                live,
-                outcome: ShardOutcome::default(),
-            });
-        }
-        views
-    }
-
-    /// Folds the outcomes of a sharded application round back into the graph:
-    /// deferred base-weight writes, touched sets and counters. Commit order
-    /// across shards is irrelevant — shards own disjoint vertex rows.
-    pub fn commit_shards<I: IntoIterator<Item = ShardOutcome>>(&mut self, outcomes: I) {
-        for o in outcomes {
-            for (v, k, w) in o.weight_writes {
-                self.base.set_weight_at(v, k, w);
-            }
-            self.touched_since_compaction.extend(o.touched);
-            self.pending_inserts = self.pending_inserts.wrapping_add_signed(o.d_inserts);
-            self.pending_deletes = self.pending_deletes.wrapping_add_signed(o.d_deletes);
-            self.version += o.version;
-            self.rejected += o.rejected;
-        }
-    }
-}
-
-/// A mutable view over one contiguous vertex range of a [`DynamicGraph`],
-/// produced by [`DynamicGraph::shard_views`]. Applies mutations whose
-/// endpoints both fall inside the range, using the same per-row state machine
-/// as the serial path; everything that crosses row boundaries (base weight
-/// writes, counters, touched sets) is accumulated in a [`ShardOutcome`].
-#[derive(Debug)]
-pub struct ShardView<'a> {
-    base: &'a Graph,
-    overlay: &'a mut [VertexDelta],
-    start: usize,
-    num_nodes: usize,
-    symmetric: bool,
-    /// Shared (read-only) liveness mask — node ops never run during a shard
-    /// round, so the mask is frozen while views are alive.
-    live: &'a [bool],
-    outcome: ShardOutcome,
-}
-
-/// The deferred side effects of one shard's application round.
-#[derive(Debug, Default)]
-pub struct ShardOutcome {
-    weight_writes: Vec<(NodeId, usize, f32)>,
-    touched: Vec<NodeId>,
-    d_inserts: isize,
-    d_deletes: isize,
-    version: u64,
-    rejected: u64,
-}
-
-impl ShardView<'_> {
-    /// The vertex range this view owns.
-    pub fn range(&self) -> std::ops::Range<usize> {
-        self.start..self.start + self.overlay.len()
-    }
-
-    /// True when both endpoints of `m` fall inside this view's range.
-    pub fn owns(&self, m: &GraphMutation) -> bool {
-        let (src, dst) = m.endpoints();
-        let r = self.range();
-        r.contains(&(src as usize)) && r.contains(&(dst as usize))
-    }
-
-    /// Applies one mutation (both directions when symmetric), mirroring
-    /// [`DynamicGraph::apply_with_effects`] exactly.
-    ///
-    /// # Panics
-    ///
-    /// Panics when an in-range endpoint falls outside this shard's vertex
-    /// range (the batch partitioner must route such mutations to the serial
-    /// residual path), or when handed a node op — batches containing node
-    /// arrivals/retirements must be applied serially, since a universe change
-    /// invalidates the frozen liveness mask shards read.
-    pub fn apply_with_effects(&mut self, m: GraphMutation) -> (MutationEffect, MutationEffect) {
-        assert!(
-            !m.is_node_op(),
-            "node ops must take the serial application path"
-        );
-        let (src, dst) = m.endpoints();
-        let n = self.num_nodes as NodeId;
-        if src >= n || dst >= n || src == dst || !self.live[src as usize] || !self.live[dst as usize]
-        {
-            self.outcome.rejected += 1;
-            return (MutationEffect::Rejected, MutationEffect::Rejected);
-        }
-        let forward = self.apply_directed(m);
-        let mut mirror = MutationEffect::Rejected;
-        if self.symmetric && forward != MutationEffect::Rejected {
-            mirror = self.apply_directed(mirror_of(m));
-        }
-        if forward != MutationEffect::Rejected {
-            self.outcome.version += 1;
-        } else {
-            self.outcome.rejected += 1;
-        }
-        (forward, mirror)
-    }
-
-    fn apply_directed(&mut self, m: GraphMutation) -> MutationEffect {
-        let (src, _) = m.endpoints();
-        let row = (src as usize)
-            .checked_sub(self.start)
-            .expect("mutation endpoint below shard range");
-        let out = apply_directed_row(self.base, &mut self.overlay[row], m);
-        if let Some(write) = out.weight_write {
-            self.outcome.weight_writes.push(write);
-        }
-        if out.touched {
-            self.outcome.touched.push(src);
-        }
-        self.outcome.d_inserts += out.d_inserts as isize;
-        self.outcome.d_deletes += out.d_deletes as isize;
-        out.effect
-    }
-
-    /// Consumes the view, releasing its overlay borrow and returning the
-    /// accumulated side effects for [`DynamicGraph::commit_shards`].
-    pub fn finish(self) -> ShardOutcome {
-        self.outcome
     }
 }
 
@@ -1027,84 +782,6 @@ mod tests {
         assert_eq!(effect, MutationEffect::TopologyChanged);
         assert!(dg.has_edge(1, 2));
         assert_eq!(dg.weight(2, 1), Some(3.0));
-    }
-
-    #[test]
-    fn shard_views_match_sequential_application() {
-        // Mutations grouped so both endpoints stay inside one shard of [0,2)/[2,4).
-        let muts_a = vec![
-            GraphMutation::UpdateWeight {
-                src: 0,
-                dst: 1,
-                weight: 5.0,
-            },
-            GraphMutation::RemoveEdge { src: 0, dst: 1 },
-            GraphMutation::AddEdge {
-                src: 0,
-                dst: 1,
-                weight: 2.0,
-            },
-        ];
-        let muts_b = vec![
-            GraphMutation::AddEdge {
-                src: 2,
-                dst: 3,
-                weight: 9.0,
-            },
-            GraphMutation::UpdateWeight {
-                src: 3,
-                dst: 2,
-                weight: 1.5,
-            },
-        ];
-
-        let mut serial = DynamicGraph::new(square(), true);
-        for &m in muts_a.iter().chain(&muts_b) {
-            serial.apply(m);
-        }
-
-        let mut sharded = DynamicGraph::new(square(), true);
-        let mut views = sharded.shard_views(&[0, 2, 4]);
-        let mut outcomes = Vec::new();
-        for (view, ops) in views.iter_mut().zip([&muts_a, &muts_b]) {
-            for &m in ops {
-                assert!(view.owns(&m));
-                view.apply_with_effects(m);
-            }
-        }
-        for view in views {
-            outcomes.push(view.finish());
-        }
-        sharded.commit_shards(outcomes);
-
-        assert_eq!(serial.pending(), sharded.pending());
-        assert_eq!(serial.version(), sharded.version());
-        assert_eq!(serial.rejected(), sharded.rejected());
-        let a = serial.materialize();
-        let b = sharded.materialize();
-        for v in 0..4u32 {
-            assert_eq!(a.neighbors(v), b.neighbors(v));
-            assert_eq!(a.weights(v), b.weights(v));
-        }
-    }
-
-    #[test]
-    fn shard_view_rejects_out_of_range_like_serial() {
-        let mut dg = DynamicGraph::new(square(), true);
-        let mut views = dg.shard_views(&[0, 4]);
-        let effects = views[0].apply_with_effects(GraphMutation::AddEdge {
-            src: 0,
-            dst: 99,
-            weight: 1.0,
-        });
-        assert_eq!(
-            effects,
-            (MutationEffect::Rejected, MutationEffect::Rejected)
-        );
-        let outcome = views.remove(0).finish();
-        dg.commit_shards([outcome]);
-        assert_eq!(dg.rejected(), 1);
-        assert_eq!(dg.version(), 0);
     }
 
     #[test]

@@ -61,18 +61,18 @@ pub struct BatchReport {
     pub apply_time: Duration,
     /// Time spent repairing sampler state (incl. compaction).
     pub maintain_time: Duration,
+    /// Time spent compacting (zero if `!compacted`); part of `maintain_time`.
+    pub compaction_time: Duration,
 }
 
 impl BatchReport {
     /// Folds one mutation's `(forward, mirror)` effects into the tallies:
     /// touched nodes on the weight path, and the weight/topology/rejected
-    /// classification. This is the single source of truth for report
-    /// bookkeeping, shared by the serial maintainer and the sharded ingest
-    /// path (`uninet-ingest`), so the two can never drift.
+    /// classification.
     ///
     /// `weight_touched` entries are appended unsorted; callers dedup once per
     /// batch before sampler maintenance.
-    pub fn record_effects(
+    fn record_effects(
         &mut self,
         m: GraphMutation,
         (forward, mirror): (MutationEffect, MutationEffect),
@@ -118,6 +118,7 @@ impl BatchReport {
         self.maintenance.merge(&other.maintenance);
         self.apply_time += other.apply_time;
         self.maintain_time += other.maintain_time;
+        self.compaction_time += other.compaction_time;
     }
 }
 
@@ -126,12 +127,25 @@ impl BatchReport {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct IncrementalMaintainer {
     config: MaintainerConfig,
+    /// Workers for weight-path bucket rebuilds (≤ 1 rebuilds serially).
+    threads: usize,
 }
 
 impl IncrementalMaintainer {
-    /// Creates a maintainer with the given configuration.
+    /// Creates a maintainer with the given configuration that rebuilds
+    /// sampler buckets on one thread.
     pub fn new(config: MaintainerConfig) -> Self {
-        IncrementalMaintainer { config }
+        IncrementalMaintainer { config, threads: 1 }
+    }
+
+    /// Fans weight-path bucket rebuilds out over `threads` workers via
+    /// `SamplerManager::maintain_weights_parallel`. Mutation application
+    /// stays serial; M-H chains need no rebuild, so only alias-family and
+    /// rejection backends use the workers. Results are identical for every
+    /// thread count.
+    pub fn with_threads(mut self, threads: usize) -> Self {
+        self.threads = threads;
+        self
     }
 
     /// The active configuration.
@@ -179,9 +193,12 @@ impl IncrementalMaintainer {
                 .filter(|&v| (v as usize) < graph.base().num_nodes())
                 .collect();
             if !covered.is_empty() {
-                report
-                    .maintenance
-                    .merge(&manager.maintain_weights(graph.base(), model, &covered));
+                report.maintenance.merge(&manager.maintain_weights_parallel(
+                    graph.base(),
+                    model,
+                    &covered,
+                    self.threads,
+                ));
             }
             report.weight_touched = touched;
         }
@@ -194,7 +211,7 @@ impl IncrementalMaintainer {
         if universe_changed
             || (report.topology_mutations > 0 && graph.pending() >= self.config.compaction_threshold)
         {
-            report.merge_compaction(self.compact_now(graph, manager, model));
+            self.compact_now(graph, manager, model, &mut report);
         }
         report.maintain_time = t1.elapsed();
         report
@@ -211,18 +228,22 @@ impl IncrementalMaintainer {
         let mut report = BatchReport::default();
         let t = Instant::now();
         if graph.pending() > 0 || graph.num_nodes() != graph.base().num_nodes() {
-            report.merge_compaction(self.compact_now(graph, manager, model));
+            self.compact_now(graph, manager, model, &mut report);
         }
         report.maintain_time = t.elapsed();
         report
     }
 
+    /// Compacts the overlay into CSR, re-aligns the sampler buckets it
+    /// invalidated and records the compaction into `report`.
     fn compact_now<M: RandomWalkModel + ?Sized>(
         &self,
         graph: &mut DynamicGraph,
         manager: &mut SamplerManager,
         model: &M,
-    ) -> (Vec<NodeId>, MaintenanceStats) {
+        report: &mut BatchReport,
+    ) {
+        let t = Instant::now();
         // Two invalidation sets: nodes whose own adjacency changed (their
         // buckets are structurally wrong for every backend), and — for
         // second-order models whose dynamic weights probe other nodes'
@@ -252,15 +273,10 @@ impl IncrementalMaintainer {
         let mut touched = mutated;
         touched.extend(stale);
         touched.sort_unstable();
-        (touched, stats)
-    }
-}
-
-impl BatchReport {
-    fn merge_compaction(&mut self, (touched, stats): (Vec<NodeId>, MaintenanceStats)) {
-        self.compacted = true;
-        self.topology_touched = touched;
-        self.maintenance.merge(&stats);
+        report.compacted = true;
+        report.topology_touched = touched;
+        report.maintenance.merge(&stats);
+        report.compaction_time = t.elapsed();
     }
 }
 

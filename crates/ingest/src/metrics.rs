@@ -1,7 +1,7 @@
 //! The ingest plane's telemetry handles.
 //!
 //! [`IngestMetrics`] bundles every instrument the ingestion pipeline records
-//! into — queue depth/stalls, sharded apply, sampler maintenance, walk
+//! into — queue depth/stalls, overlay apply, sampler maintenance, walk
 //! refresh, compaction — as pre-resolved `Arc` handles, so hot paths record
 //! with a single relaxed atomic op and never consult a registry. Construct it
 //! either [`registered`](IngestMetrics::registered) in a
@@ -27,9 +27,8 @@ pub struct IngestMetrics {
     pub queue_stall_ns: Arc<Histogram>,
     /// End-to-end overlay application per batch (`ingest.apply.batch_ns`).
     pub apply_batch_ns: Arc<Histogram>,
-    /// Per-shard worker apply time (`ingest.apply.shard_ns`).
-    pub apply_shard_ns: Arc<Histogram>,
-    /// Sampler-maintenance time per batch (`ingest.maintain.sampler_ns`).
+    /// Sampler-maintenance time per batch, excluding compaction
+    /// (`ingest.maintain.sampler_ns`).
     pub maintain_sampler_ns: Arc<Histogram>,
     /// Walk-refresh time per batch (`ingest.refresh.round_ns`).
     pub refresh_round_ns: Arc<Histogram>,
@@ -55,7 +54,6 @@ impl IngestMetrics {
             queue_stalls: Arc::new(Counter::new()),
             queue_stall_ns: Arc::new(Histogram::new()),
             apply_batch_ns: Arc::new(Histogram::new()),
-            apply_shard_ns: Arc::new(Histogram::new()),
             maintain_sampler_ns: Arc::new(Histogram::new()),
             refresh_round_ns: Arc::new(Histogram::new()),
             refresh_dirty_walks: Arc::new(Counter::new()),
@@ -75,7 +73,6 @@ impl IngestMetrics {
             queue_stalls: registry.counter("ingest.queue.stalls"),
             queue_stall_ns: registry.histogram("ingest.queue.stall_ns"),
             apply_batch_ns: registry.histogram("ingest.apply.batch_ns"),
-            apply_shard_ns: registry.histogram("ingest.apply.shard_ns"),
             maintain_sampler_ns: registry.histogram("ingest.maintain.sampler_ns"),
             refresh_round_ns: registry.histogram("ingest.refresh.round_ns"),
             refresh_dirty_walks: registry.counter("ingest.refresh.dirty_walks"),

@@ -1,9 +1,11 @@
 //! The end-to-end ingestion pipeline: reader thread → bounded queue →
-//! sharded application → per-batch maintenance callback.
+//! serial application → per-batch maintenance callback.
 //!
 //! ```text
-//!  mutations ──reader thread──▶ [bounded MPSC queue] ──▶ apply (sharded)
+//!  mutations ──reader thread──▶ [bounded MPSC queue] ──▶ apply (serial)
 //!                                 back-pressure          ├─ maintain samplers
+//!                                                        │  (parallel bucket
+//!                                                        │   rebuilds)
 //!                                                        └─ on_batch hook
 //!                                                           (walk refresh,
 //!                                                            incremental SGD)
@@ -13,18 +15,18 @@
 //! feeds the queue; a full queue blocks it (back-pressure), so intake never
 //! outruns maintenance by more than `queue_capacity` batches. The consumer
 //! (the caller's thread) drains the queue, applies each batch through the
-//! [`ShardedMaintainer`] and hands the report to `on_batch` — which is where
-//! the streaming pipeline hangs walk refresh and incremental training.
+//! [`IncrementalMaintainer`] and hands the report to `on_batch` — which is
+//! where the streaming pipeline hangs walk refresh and incremental training.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use uninet_dyngraph::{BatchReport, DynamicGraph, GraphMutation, MaintainerConfig, UpdateBatch};
+use uninet_dyngraph::{
+    BatchReport, DynamicGraph, GraphMutation, IncrementalMaintainer, MaintainerConfig, UpdateBatch,
+};
 use uninet_walker::{MaintenanceStats, RandomWalkModel, SamplerManager};
 
-use crate::apply::ShardedMaintainer;
 use crate::metrics::IngestMetrics;
 use crate::queue::{instrumented_batch_queue, QueueStats};
-use crate::shard::ShardPlan;
 
 /// Configuration of the ingestion pipeline.
 #[derive(Debug, Clone, Copy)]
@@ -33,7 +35,8 @@ pub struct IngestConfig {
     pub batch_size: usize,
     /// Batches the intake queue holds before back-pressure blocks the reader.
     pub queue_capacity: usize,
-    /// Worker threads for shard application and sampler maintenance.
+    /// Worker threads for sampler-bucket rebuilds (alias-family and
+    /// rejection backends; M-H needs none).
     pub num_threads: usize,
     /// Pending overlay entries that trigger compaction back into CSR.
     pub compaction_threshold: usize,
@@ -73,49 +76,10 @@ pub struct IngestReport {
     pub queue: QueueStats,
 }
 
-/// Runs the concurrent ingestion pipeline over a pre-collected mutation
-/// stream with detached (unobserved) telemetry. `on_batch` fires after every
-/// applied batch on the caller's thread — it may freely borrow the graph and
-/// manager state it closed over. The final `bool` argument is `true` only for
-/// the end-of-stream flush (which fires only when the flush actually
-/// compacted leftover overlay entries).
-pub fn run_pipeline<M: RandomWalkModel + ?Sized>(
-    config: &IngestConfig,
-    graph: &mut DynamicGraph,
-    manager: &mut SamplerManager,
-    model: &M,
-    mutations: &[GraphMutation],
-    on_batch: impl FnMut(&DynamicGraph, &SamplerManager, &BatchReport, bool),
-) -> IngestReport {
-    run_instrumented_pipeline(
-        config,
-        &IngestMetrics::detached(),
-        graph,
-        manager,
-        model,
-        mutations,
-        on_batch,
-    )
-}
-
-/// [`run_pipeline`], recording queue/apply/maintenance/compaction telemetry
-/// into `metrics` live while the pipeline runs.
-#[allow(clippy::too_many_arguments)]
-pub fn run_instrumented_pipeline<M: RandomWalkModel + ?Sized>(
-    config: &IngestConfig,
-    metrics: &IngestMetrics,
-    graph: &mut DynamicGraph,
-    manager: &mut SamplerManager,
-    model: &M,
-    mutations: &[GraphMutation],
-    on_batch: impl FnMut(&DynamicGraph, &SamplerManager, &BatchReport, bool),
-) -> IngestReport {
-    run_durable_pipeline(
-        config, metrics, graph, manager, model, mutations, None, on_batch,
-    )
-}
-
-/// [`run_instrumented_pipeline`] with an apply-path write-ahead-log hook.
+/// Runs the ingestion pipeline over a pre-collected mutation stream,
+/// recording queue/apply/maintenance/compaction telemetry into `metrics`
+/// live while it runs. Pass [`IngestMetrics::detached`] when nothing
+/// observes them.
 ///
 /// When `wal` is given, it fires on the consumer thread for every dequeued
 /// batch *before* the batch is applied to the graph — so by the time a
@@ -123,8 +87,13 @@ pub fn run_instrumented_pipeline<M: RandomWalkModel + ?Sized>(
 /// chance to log it. The hook must not panic; WAL errors are expected to be
 /// absorbed (and reported) by the closure itself so a degraded disk never
 /// takes down ingestion.
+///
+/// `on_batch` fires after every applied batch on the caller's thread — it
+/// may freely borrow the graph and manager state it closed over. Its final
+/// `bool` argument is `true` only for the end-of-stream flush (which fires
+/// only when the flush actually compacted leftover overlay entries).
 #[allow(clippy::too_many_arguments)]
-pub fn run_durable_pipeline<M: RandomWalkModel + ?Sized>(
+pub fn run_pipeline<M: RandomWalkModel + ?Sized>(
     config: &IngestConfig,
     metrics: &IngestMetrics,
     graph: &mut DynamicGraph,
@@ -134,14 +103,10 @@ pub fn run_durable_pipeline<M: RandomWalkModel + ?Sized>(
     mut wal: Option<&mut dyn FnMut(&UpdateBatch)>,
     mut on_batch: impl FnMut(&DynamicGraph, &SamplerManager, &BatchReport, bool),
 ) -> IngestReport {
-    let maintainer = ShardedMaintainer::instrumented(
-        MaintainerConfig {
-            compaction_threshold: config.compaction_threshold,
-        },
-        config.num_threads,
-        metrics.clone(),
-    );
-    let mut plan = ShardPlan::new(graph.num_nodes(), config.num_threads);
+    let maintainer = IncrementalMaintainer::new(MaintainerConfig {
+        compaction_threshold: config.compaction_threshold,
+    })
+    .with_threads(config.num_threads);
     let mut report = IngestReport::default();
 
     let queue_stats = crossbeam::thread::scope(|scope| {
@@ -161,20 +126,19 @@ pub fn run_durable_pipeline<M: RandomWalkModel + ?Sized>(
             if let Some(hook) = wal.as_deref_mut() {
                 hook(&batch);
             }
-            // Open-world arrivals grow the id space; the vertex-range plan
-            // must cover the current universe before the next sharded apply.
-            if plan.num_nodes() != graph.num_nodes() {
-                plan = ShardPlan::new(graph.num_nodes(), config.num_threads);
-            }
-            let r = maintainer.apply_batch(graph, manager, model, &batch, &plan);
+            let r = maintainer.apply_batch(graph, manager, model, &batch);
+            metrics.apply_batch_ns.record_duration(r.apply_time);
+            metrics
+                .maintain_sampler_ns
+                .record_duration(r.maintain_time.saturating_sub(r.compaction_time));
+            metrics.node_arrivals.add(r.arrivals.len() as u64);
+            metrics.node_retirements.add(r.retirements.len() as u64);
+            report.record(metrics, &r);
             report.batches += 1;
             report.weight_mutations += r.weight_mutations;
             report.topology_mutations += r.topology_mutations;
             report.rejected_mutations += r.rejected_mutations;
-            report.compactions += r.compacted as usize;
-            report.maintenance.merge(&r.maintenance);
             report.apply_time += r.apply_time;
-            report.maintain_time += r.maintain_time;
             on_batch(graph, manager, &r, false);
         }
         reader.join().expect("reader thread panicked")
@@ -183,15 +147,26 @@ pub fn run_durable_pipeline<M: RandomWalkModel + ?Sized>(
     report.queue = queue_stats;
 
     // Fold any leftover overlay into the CSR and surface what it touched.
-    let t = Instant::now();
     let flush = maintainer.flush(graph, manager, model);
-    report.maintain_time += t.elapsed();
+    report.record(metrics, &flush);
     if flush.compacted {
-        report.compactions += 1;
-        report.maintenance.merge(&flush.maintenance);
         on_batch(graph, manager, &flush, true);
     }
     report
+}
+
+impl IngestReport {
+    /// Folds the maintenance side of one batch (or the final flush) into the
+    /// totals, and records its compaction, if any, into `metrics`.
+    fn record(&mut self, metrics: &IngestMetrics, r: &BatchReport) {
+        self.maintenance.merge(&r.maintenance);
+        self.maintain_time += r.maintain_time;
+        if r.compacted {
+            self.compactions += 1;
+            metrics.compaction_ns.record_duration(r.compaction_time);
+            metrics.compactions.inc();
+        }
+    }
 }
 
 #[cfg(test)]
@@ -272,12 +247,22 @@ mod tests {
             compaction_threshold: 128,
         };
         let mut callbacks = 0usize;
-        let report = run_pipeline(&cfg, &mut dg, &mut mgr, &model, &stream, |_, _, r, _| {
-            callbacks += 1;
-            assert!(
-                r.weight_mutations + r.topology_mutations + r.rejected_mutations > 0 || r.compacted
-            );
-        });
+        let report = run_pipeline(
+            &cfg,
+            &IngestMetrics::detached(),
+            &mut dg,
+            &mut mgr,
+            &model,
+            &stream,
+            None,
+            |_, _, r, _| {
+                callbacks += 1;
+                assert!(
+                    r.weight_mutations + r.topology_mutations + r.rejected_mutations > 0
+                        || r.compacted
+                );
+            },
+        );
 
         assert_eq!(report.batches, stream.len().div_ceil(64));
         assert!(callbacks >= report.batches);
@@ -307,13 +292,81 @@ mod tests {
         );
         let report = run_pipeline(
             &IngestConfig::default(),
+            &IngestMetrics::detached(),
             &mut dg,
             &mut mgr,
             &model,
             &[],
+            None,
             |_, _, _, _| panic!("no batches expected"),
         );
         assert_eq!(report.batches, 0);
         assert_eq!(report.queue.batches_enqueued, 0);
+    }
+
+    #[test]
+    fn churn_batches_apply_in_stream_order_and_record_node_ops() {
+        let g = test_graph();
+        let n = g.num_nodes() as NodeId;
+        let model = DeepWalk::new();
+        // Arrival, edge naming the arrival, retirement, edge naming the
+        // retiree — stream order between node and edge ops must hold.
+        let mut stream = mixed_stream(&g, 40, 11);
+        stream.extend([
+            GraphMutation::AddNode { node: n },
+            GraphMutation::AddEdge {
+                src: n,
+                dst: 3,
+                weight: 1.5,
+            },
+            GraphMutation::RemoveNode { node: 7 },
+            // Must be rejected: endpoint retired.
+            GraphMutation::AddEdge {
+                src: 7,
+                dst: 8,
+                weight: 1.0,
+            },
+        ]);
+
+        let mut dg = DynamicGraph::new(g.clone(), true);
+        let mut mgr = SamplerManager::new(dg.base(), &model, EdgeSamplerKind::Alias, 0);
+        let metrics = IngestMetrics::detached();
+        let mut arrivals = Vec::new();
+        let mut retirements = Vec::new();
+        let report = run_pipeline(
+            &IngestConfig {
+                batch_size: 16,
+                queue_capacity: 2,
+                num_threads: 4,
+                compaction_threshold: 1024,
+            },
+            &metrics,
+            &mut dg,
+            &mut mgr,
+            &model,
+            &stream,
+            None,
+            |_, _, r, _| {
+                arrivals.extend_from_slice(&r.arrivals);
+                retirements.extend_from_slice(&r.retirements);
+            },
+        );
+
+        assert_eq!(arrivals, vec![n]);
+        assert_eq!(retirements, vec![7]);
+        assert_eq!(metrics.node_arrivals.get(), 1);
+        assert_eq!(metrics.node_retirements.get(), 1);
+        // Node ops force a compaction; every compaction is timed.
+        assert!(report.compactions > 0);
+        assert_eq!(metrics.compactions.get(), report.compactions as u64);
+        assert_eq!(metrics.compaction_ns.count(), report.compactions as u64);
+        assert_eq!(metrics.apply_batch_ns.count(), report.batches as u64);
+
+        let a = dg.materialize();
+        assert_eq!(a.num_nodes(), n as usize + 1);
+        assert!(!dg.is_live(7));
+        assert!(a.has_edge(n, 3), "arrival's edge applied");
+        assert!(!a.has_edge(7, 8), "retired endpoint's edge rejected");
+        assert_eq!(a.degree(7), 0);
     }
 }

@@ -1,20 +1,19 @@
-//! Property-based tests of the sharded ingestion path.
+//! Property-based tests of the ingestion pipeline.
 //!
-//! The tentpole property: applying an **arbitrary mutation sequence** through
-//! the sharded parallel path (`ShardPlan::partition` + `ShardView` workers +
-//! serial residual) yields a graph — merged view *and* compacted CSR — that
-//! is identical to the existing sequential `IncrementalMaintainer` path,
-//! along with identical report tallies and maintenance accounting.
+//! The property: streaming an **arbitrary mutation sequence** through the
+//! full pipeline (reader thread, bounded queue, serial apply, sampler
+//! maintenance on `num_threads` workers) yields the same compacted graph,
+//! report tallies and maintenance accounting as a plain single-threaded
+//! `IncrementalMaintainer` batch loop — for every sampler family, including
+//! the alias and rejection backends whose bucket rebuilds run in parallel.
 
 use proptest::prelude::*;
-use uninet_dyngraph::{
-    DynamicGraph, GraphMutation, IncrementalMaintainer, MaintainerConfig, UpdateBatch,
-};
+use uninet_dyngraph::{DynamicGraph, GraphMutation, IncrementalMaintainer, MaintainerConfig};
 use uninet_graph::{Graph, GraphBuilder};
-use uninet_ingest::{ShardPlan, ShardedMaintainer};
+use uninet_ingest::{run_pipeline, IngestConfig, IngestMetrics};
 use uninet_sampler::{EdgeSamplerKind, InitStrategy};
 use uninet_walker::models::DeepWalk;
-use uninet_walker::SamplerManager;
+use uninet_walker::{MaintenanceStats, SamplerManager};
 
 const N: u32 = 16;
 
@@ -57,100 +56,71 @@ fn assert_graphs_identical(a: &Graph, b: &Graph) {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 40, ..ProptestConfig::default() })]
 
-    /// Sharded parallel apply_batch == sequential apply_batch, for arbitrary
-    /// mutation sequences, shard counts, batch splits and compaction policies.
-    #[test]
-    fn sharded_apply_is_graph_identical_to_sequential(
-        edges in prop::collection::vec((0u32..N, 0u32..N, 0.5f32..4.0), 1..50),
-        mutations in prop::collection::vec(arbitrary_mutation(), 0..80),
-        shards in 2usize..6,
-        batch_size in 1usize..40,
-        compaction_threshold in prop_oneof![Just(4usize), Just(64), Just(1_000_000)],
-        symmetric in any::<bool>(),
-    ) {
-        let g = base_graph(&edges);
-        let model = DeepWalk::new();
-        let kind = EdgeSamplerKind::MetropolisHastings(InitStrategy::Random);
-        let cfg = MaintainerConfig { compaction_threshold };
-
-        let mut dg_serial = DynamicGraph::new(g.clone(), symmetric);
-        let mut mgr_serial = SamplerManager::new(dg_serial.base(), &model, kind, 0);
-        let serial = IncrementalMaintainer::new(cfg);
-
-        let mut dg_sharded = DynamicGraph::new(g, symmetric);
-        let mut mgr_sharded = SamplerManager::new(dg_sharded.base(), &model, kind, 0);
-        let sharded = ShardedMaintainer::new(cfg, shards);
-        let plan = ShardPlan::new(N as usize, shards);
-
-        for chunk in mutations.chunks(batch_size) {
-            let batch = UpdateBatch::from_mutations(chunk.to_vec());
-            let rs = serial.apply_batch(&mut dg_serial, &mut mgr_serial, &model, &batch);
-            let rp = sharded.apply_batch(&mut dg_sharded, &mut mgr_sharded, &model, &batch, &plan);
-
-            prop_assert_eq!(rs.weight_mutations, rp.weight_mutations);
-            prop_assert_eq!(rs.topology_mutations, rp.topology_mutations);
-            prop_assert_eq!(rs.rejected_mutations, rp.rejected_mutations);
-            prop_assert_eq!(rs.weight_touched, rp.weight_touched);
-            prop_assert_eq!(rs.compacted, rp.compacted);
-            prop_assert_eq!(rs.topology_touched, rp.topology_touched);
-            prop_assert_eq!(rs.maintenance, rp.maintenance);
-
-            // Merged views agree batch-by-batch, not just at the end.
-            prop_assert_eq!(dg_serial.pending(), dg_sharded.pending());
-            prop_assert_eq!(dg_serial.version(), dg_sharded.version());
-            prop_assert_eq!(dg_serial.rejected(), dg_sharded.rejected());
-            for v in 0..N {
-                prop_assert_eq!(dg_serial.neighbor_weights(v), dg_sharded.neighbor_weights(v));
-            }
-        }
-
-        let fs = serial.flush(&mut dg_serial, &mut mgr_serial, &model);
-        let fp = sharded.flush(&mut dg_sharded, &mut mgr_sharded, &model);
-        prop_assert_eq!(fs.compacted, fp.compacted);
-        prop_assert_eq!(fs.topology_touched, fp.topology_touched);
-
-        assert_graphs_identical(dg_serial.base(), dg_sharded.base());
-        prop_assert_eq!(mgr_serial.num_states(), mgr_sharded.num_states());
-    }
-
-    /// The full pipeline (reader thread + bounded queue + sharded apply) is
-    /// graph-identical to the sequential batch loop.
+    /// The full pipeline is graph- and tally-identical to the sequential
+    /// batch loop, for arbitrary mutation sequences, samplers, worker
+    /// counts, batch splits, queue capacities and compaction policies.
     #[test]
     fn pipeline_is_graph_identical_to_sequential(
         edges in prop::collection::vec((0u32..N, 0u32..N, 0.5f32..4.0), 4..40),
         mutations in prop::collection::vec(arbitrary_mutation(), 1..60),
+        kind in prop_oneof![
+            Just(EdgeSamplerKind::MetropolisHastings(InitStrategy::Random)),
+            Just(EdgeSamplerKind::Alias),
+            Just(EdgeSamplerKind::Rejection),
+        ],
+        num_threads in 1usize..=4,
+        batch_size in 1usize..20,
         queue_capacity in 1usize..5,
+        compaction_threshold in prop_oneof![Just(4usize), Just(16), Just(1_000_000)],
+        symmetric in any::<bool>(),
     ) {
         let g = base_graph(&edges);
         let model = DeepWalk::new();
-        let kind = EdgeSamplerKind::MetropolisHastings(InitStrategy::Random);
-        let cfg = MaintainerConfig { compaction_threshold: 16 };
 
-        let mut dg_serial = DynamicGraph::new(g.clone(), true);
+        let mut dg_serial = DynamicGraph::new(g.clone(), symmetric);
         let mut mgr_serial = SamplerManager::new(dg_serial.base(), &model, kind, 0);
-        let serial = IncrementalMaintainer::new(cfg);
-        for batch in uninet_dyngraph::into_batches(&mutations, 8) {
-            serial.apply_batch(&mut dg_serial, &mut mgr_serial, &model, &batch);
+        let serial = IncrementalMaintainer::new(MaintainerConfig { compaction_threshold });
+        let (mut weight, mut topology, mut rejected, mut compactions) = (0, 0, 0, 0);
+        let mut maintenance = MaintenanceStats::default();
+        for batch in uninet_dyngraph::into_batches(&mutations, batch_size) {
+            let r = serial.apply_batch(&mut dg_serial, &mut mgr_serial, &model, &batch);
+            weight += r.weight_mutations;
+            topology += r.topology_mutations;
+            rejected += r.rejected_mutations;
+            compactions += r.compacted as usize;
+            maintenance.merge(&r.maintenance);
         }
-        serial.flush(&mut dg_serial, &mut mgr_serial, &model);
+        let flush = serial.flush(&mut dg_serial, &mut mgr_serial, &model);
+        compactions += flush.compacted as usize;
+        maintenance.merge(&flush.maintenance);
 
-        let mut dg = DynamicGraph::new(g, true);
+        let mut dg = DynamicGraph::new(g, symmetric);
         let mut mgr = SamplerManager::new(dg.base(), &model, kind, 0);
-        let report = uninet_ingest::run_pipeline(
-            &uninet_ingest::IngestConfig {
-                batch_size: 8,
+        let report = run_pipeline(
+            &IngestConfig {
+                batch_size,
                 queue_capacity,
-                num_threads: 3,
-                compaction_threshold: 16,
+                num_threads,
+                compaction_threshold,
             },
+            &IngestMetrics::detached(),
             &mut dg,
             &mut mgr,
             &model,
             &mutations,
+            None,
             |_, _, _, _| {},
         );
-        prop_assert_eq!(report.batches, mutations.len().div_ceil(8));
+        prop_assert_eq!(report.batches, mutations.len().div_ceil(batch_size));
+        prop_assert_eq!(report.weight_mutations, weight);
+        prop_assert_eq!(report.topology_mutations, topology);
+        prop_assert_eq!(report.rejected_mutations, rejected);
+        prop_assert_eq!(report.compactions, compactions);
+        prop_assert_eq!(report.maintenance, maintenance);
         prop_assert_eq!(dg.pending(), 0);
+        prop_assert_eq!(dg.version(), dg_serial.version());
+        prop_assert_eq!(dg.rejected(), dg_serial.rejected());
         assert_graphs_identical(dg_serial.base(), dg.base());
+        prop_assert_eq!(mgr.num_states(), mgr_serial.num_states());
     }
 }

@@ -17,7 +17,7 @@
 //!   breakdown (moved here from `uninet-core`, which re-exports it).
 //!
 //! The convention across the workspace is three top-level metric sections:
-//! `ingest.*` (queue, shard apply, sampler maintenance, walk refresh,
+//! `ingest.*` (queue, batch apply, sampler maintenance, walk refresh,
 //! compaction), `engine.*` (training rounds, snapshot publishes, epoch age)
 //! and `query.*` (per-mode latency, batch sizes, ANN fallbacks).
 

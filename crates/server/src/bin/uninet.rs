@@ -70,8 +70,8 @@ STREAMING UPDATES (dynamic-graph mode):
                           pending overlay edges that trigger CSR compaction
                                                               [default: 1024]
   --directed-updates      do not mirror mutations onto the reverse edge
-  --ingest-threads <T>    worker threads for sharded update application,
-                          sampler maintenance and walk refresh
+  --ingest-threads <T>    worker threads for sampler maintenance and walk
+                          refresh (updates are applied serially)
                                                        [default: --threads]
   --queue-capacity <N>    update batches buffered by the intake queue before
                           back-pressure blocks the reader      [default: 8]
